@@ -196,6 +196,9 @@ BM_BootstrapBaselineSim(benchmark::State &state)
         auto fresh = s.boot->bootstrap(s.ct);
         outLevel = fresh.level();
         benchmark::DoNotOptimize(fresh.c0.limb(0).data());
+        // Stop the clock only once the device has drained, like the
+        // Seg/PerOp rows: the row times execution, not enqueue.
+        b.ctx->devices().synchronize();
     }
     reportPlatformModel(state, state.iterations(), b.ctx->devices());
     Parameters p = bootParams();

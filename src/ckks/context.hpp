@@ -33,7 +33,6 @@ namespace fideslib::ckks
 
 namespace kernels
 {
-class BatchSession;
 class GraphCapture;
 class GraphReplay;
 class PlanCache;
@@ -337,29 +336,6 @@ class Context
     kernels::GraphReplay *replaySession() const;
     void setCaptureSession(kernels::GraphCapture *c) const;
     void setReplaySession(kernels::GraphReplay *r) const;
-    /**
-     * The CALLING THREAD's active multi-instance batch sink, if any:
-     * installed by kernels::BatchSession on a serving batch leader.
-     * While set, PlanScope replays collect DeferredPrograms instead
-     * of submitting (graph.hpp; DESIGN.md §1.13).
-     */
-    kernels::BatchSession *batchSession() const;
-    void setBatchSession(kernels::BatchSession *b) const;
-    /** The lease pointer the calling thread installed via
-     *  setThreadLease (null when running on the whole-set default) --
-     *  what a batch flush saves and restores around its aggregated
-     *  submission. */
-    const StreamLease *installedThreadLease() const;
-    /**
-     * Gates cross-request continuous batching (serve::Server's batch
-     * former). False when FIDES_NO_BATCH is set or
-     * setBatchingEnabled(false) was called: the Server then executes
-     * every request solo, bit-identically -- the escape hatch
-     * mirroring FIDES_NO_GRAPH. Toggling does not touch the plan
-     * cache (batched and solo replays walk the same plans).
-     */
-    bool batchingEnabled() const { return batching_; }
-    void setBatchingEnabled(bool e) { batching_ = e; }
 
     // Per-shard key-bundle registry (serve::Router placement). --------
     /**
@@ -452,7 +428,6 @@ class Context
 
     bool graphEnabled_;
     bool segmentPlans_;
-    bool batching_;
     std::unique_ptr<kernels::PlanCache> plans_;
     mutable std::atomic<u32> planArenaMultiplier_{1};
     std::unique_ptr<StreamLease> defaultLease_;

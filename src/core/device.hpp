@@ -175,50 +175,6 @@ class Event
         return st_ ? st_->checkClock : nullptr;
     }
 
-    // Deferred events (instantiated plan replay, ckks/graph.hpp). ----
-    //
-    // A batched replay collects a whole graph's launches before any
-    // stream sees them, yet must hand out completion events at
-    // collection time (exit notes, recorded out-params). A DEFERRED
-    // event is created unsignalled with the stream id it WILL retire
-    // on; the flush signals it from inside the stream task that runs
-    // the corresponding node, so by the time any consumer can observe
-    // it, it behaves exactly like a recorded event.
-
-    /** Creates an unsignalled event pinned to @p streamId. */
-    static Event
-    makeDeferred(u32 streamId)
-    {
-        auto st = std::make_shared<State>();
-        st->streamId = streamId;
-        return Event(std::move(st));
-    }
-
-    /** Signals a deferred event (from the flushed stream task that
-     *  retired its node). Idempotent like a recorded signal. */
-    void
-    signalDeferred() const
-    {
-        {
-            std::lock_guard<std::mutex> lock(st_->m);
-            st_->done.store(true, std::memory_order_release);
-        }
-        st_->cv.notify_all();
-    }
-
-    /**
-     * Attaches the validator clock a deferred event could not take at
-     * creation (the stream task that signals it does not exist yet).
-     * Must be called before the signalling task is submitted: readers
-     * only consult the clock after observing done, so the submission's
-     * mutex edge orders this plain store before every read.
-     */
-    void
-    bindDeferredClock(std::shared_ptr<void> clock) const
-    {
-        st_->checkClock = std::move(clock);
-    }
-
   private:
     friend class Stream;
 
@@ -324,38 +280,6 @@ struct GraphExitNote
 };
 
 /**
- * The compiled (executable) form of a captured plan: the node list
- * flattened into per-stream launch programs, so a replay can sweep
- * each stream's steps linearly instead of walking nodes one at a time
- * and re-deriving which stream each belongs to. This is the
- * cudaGraphInstantiate analogue to KernelGraph's cudaGraph: the
- * topology is fixed at compile time, and per-replay state reduces to
- * an operand patch table (GraphCall::depSlots bound to this call's
- * polynomials) plus the per-node wait events.
- *
- * Multi-instance replay (ckks/graph.hpp BatchSession) drives k
- * independent operand sets through one PlanExec: each instance
- * submits ONE task per stream program that runs every step in
- * recorded order -- waits, body, completion signal -- cutting the
- * host's queue traffic from O(nodes) to O(streams) per instance.
- */
-struct PlanExec
-{
-    struct Step
-    {
-        u32 node; //!< index into KernelGraph::nodes
-        u32 call; //!< index into KernelGraph::calls (body provider)
-    };
-    /** One stream's launches, in capture (= submission) order. */
-    struct StreamProg
-    {
-        u32 streamId; //!< recorded (pre-remap) stream id
-        std::vector<Step> steps;
-    };
-    std::vector<StreamProg> streams;
-};
-
-/**
  * A captured execution plan: the node list, the per-call structure,
  * the exit events, and the scratch footprint. Immutable once stored
  * in a Context's plan cache; replays only read it.
@@ -376,9 +300,6 @@ class KernelGraph
      * never touch the host allocator.
      */
     std::vector<std::map<std::size_t, u32>> scratch;
-    /** Per-stream flattened launch programs, compiled once at
-     *  capture finish (GraphCapture::finish). */
-    PlanExec exec;
 };
 
 /** Aggregate work counters reported by every kernel launch. */
@@ -583,16 +504,6 @@ class Device
      * whole-graph launch (paid by the replay scope), none per node.
      */
     void launchReplayed(u64 bytesRead, u64 bytesWritten, u64 intOps);
-
-    /**
-     * Accounts a whole batch of replayed launches in one counter
-     * update (@p c.launches kernels, summed bytes/ops). A deferred
-     * multi-instance replay accumulates its per-node counters on the
-     * collecting thread and flushes them here, paying one mutex
-     * acquisition per (device, instance, graph) instead of one per
-     * node -- the counters land identical to per-node accounting.
-     */
-    void launchReplayedBulk(const KernelCounters &c);
 
   private:
     u32 id_;

@@ -54,9 +54,11 @@ NttAutotuner::Options::fromEnv()
 std::vector<NttCandidate>
 NttAutotuner::candidates(std::size_t n)
 {
+    // Hierarchical is left out: it never won a shape and runs ~2x
+    // slower than Flat. It stays a pinnable NttSchedule and a bench_ntt
+    // sweep row (the paper's Figure 4 reference).
     std::vector<NttCandidate> cands = {
         {NttVariant::Flat, 0},
-        {NttVariant::Hierarchical, 0},
         {NttVariant::Radix4, 0},
         {NttVariant::FusedLast, 0},
         {NttVariant::BlockedHier, 0}, // L1-sized default block

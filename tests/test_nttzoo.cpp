@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -129,6 +130,12 @@ TEST(NttZooContext, AutoTunesEveryPowerOfTwoBucket)
     EXPECT_EQ(stats.configured, NttSchedule::Auto);
     EXPECT_TRUE(stats.tuned);
     ASSERT_FALSE(stats.shapes.empty());
+    // Hierarchical is a pinnable reference schedule, never raced.
+    const auto cands = NttAutotuner::candidates(ctx.degree());
+    EXPECT_TRUE(std::none_of(
+        cands.begin(), cands.end(), [](const NttCandidate &c) {
+            return c.variant == NttVariant::Hierarchical;
+        }));
 
     // Buckets run 1, 2, 4, ... with the last clamped to the chain
     // width, and the choice table answers any limb count from them.
