@@ -1,7 +1,6 @@
 #include "ckks/bootstrap.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <numbers>
 
 #include <set>
@@ -9,7 +8,6 @@
 #include "ckks/basechange.hpp"
 #include "ckks/chebyshev.hpp"
 #include "ckks/encryptor.hpp"
-#include "ckks/graph.hpp"
 #include "ckks/kernels.hpp"
 #include "core/logging.hpp"
 
@@ -88,21 +86,6 @@ Bootstrapper::Bootstrapper(const Evaluator &eval,
               "(increase multDepth)",
               need, ctx.maxLevel());
     }
-
-    // Everything the pipeline's call sequence depends on, folded into
-    // the segment-plan keys: two Bootstrappers at the same level but
-    // different slot counts / budgets / Chebyshev shapes would
-    // otherwise collide on (op, level) and replay the wrong graph.
-    u32 h = kernels::kPlanAuxSeed;
-    h = kernels::planAuxMix(h, cfg_.slots);
-    h = kernels::planAuxMix(h, cfg_.levelBudgetC2S);
-    h = kernels::planAuxMix(h, cfg_.levelBudgetS2C);
-    h = kernels::planAuxMix(h, doubleAngles_);
-    h = kernels::planAuxMix(h, chebDegree_);
-    u64 kbits;
-    static_assert(sizeof(kbits) == sizeof(keff_));
-    std::memcpy(&kbits, &keff_, sizeof(kbits));
-    planTag_ = kernels::planAuxMix(h, kbits);
 }
 
 u32
@@ -150,14 +133,6 @@ Bootstrapper::encodedStage(bool s2c, u32 idx, u32 level) const
                  .first;
     }
     return it->second;
-}
-
-void
-Bootstrapper::prewarmStages(bool s2c, u32 entryLevel) const
-{
-    const std::size_t count = s2c ? s2c_.size() : c2s_.size();
-    for (u32 s = 0; s < count; ++s)
-        encodedStage(s2c, s, entryLevel - s);
 }
 
 Ciphertext
@@ -236,53 +211,32 @@ Bootstrapper::bootstrap(const Ciphertext &ct) const
         eval_.addInPlace(raised, rot);
     }
 
-    // 3. CoeffToSlot stages -- one composite segment plan. The
-    // plaintext stages are pre-warmed OUTSIDE the scope: encoding
-    // launches kernels, and a lazy encode inside a capture would bake
-    // one-time work into the plan (then replays would skip the live
-    // encode a cold cache still needs).
+    // 3. CoeffToSlot stages. Each stage is encoded (once, into the
+    // locked stage cache) before applyEncoded runs, so no encode ever
+    // lands inside the per-op plan scopes of the stage's own ops.
     Ciphertext enc = std::move(raised);
-    {
-        prewarmStages(false, enc.level());
-        kernels::PlanScope seg(ctx, kernels::PlanOp::CoeffToSlotSeg,
-                               enc.level(), planTag_);
-        for (u32 s = 0; s < c2s_.size(); ++s)
-            enc = applyEncoded(eval_, enc,
-                               encodedStage(false, s, enc.level()));
-    }
+    for (u32 s = 0; s < c2s_.size(); ++s)
+        enc = applyEncoded(eval_, enc,
+                           encodedStage(false, s, enc.level()));
 
     // 4-6. Conjugation split, ApproxModEval on both parts, and the
-    // recombine -- together one EvalMod segment (by far the deepest
-    // stretch of the pipeline, all of it shape-determined by the
-    // Chebyshev coefficients baked into planTag_).
-    Ciphertext w = [&] {
-        kernels::PlanScope seg(ctx, kernels::PlanOp::EvalModSeg,
-                               enc.level(), planTag_);
+    // recombine. Re via conjugate-add (the 1/2 was folded into
+    // CoeffToSlot), Im via an exact monomial multiply.
+    Ciphertext conj = eval_.conjugate(enc);
+    Ciphertext yRe = eval_.add(enc, conj);
+    Ciphertext yIm = eval_.sub(enc, conj);
+    eval_.multiplyByMonomialInPlace(yIm, 3 * n / 2); // times -i
 
-        // Re via conjugate-add (the 1/2 was folded into CoeffToSlot),
-        // Im via an exact monomial multiply.
-        Ciphertext conj = eval_.conjugate(enc);
-        Ciphertext yRe = eval_.add(enc, conj);
-        Ciphertext yIm = eval_.sub(enc, conj);
-        eval_.multiplyByMonomialInPlace(yIm, 3 * n / 2); // times -i
+    Ciphertext mRe = approxMod(yRe);
+    Ciphertext mIm = approxMod(yIm);
 
-        Ciphertext mRe = approxMod(yRe);
-        Ciphertext mIm = approxMod(yIm);
+    // Recombine: w = mRe + i * mIm.
+    eval_.multiplyByMonomialInPlace(mIm, n / 2); // times +i
+    Ciphertext w = eval_.addC(mRe, mIm);
 
-        // Recombine: w = mRe + i * mIm.
-        eval_.multiplyByMonomialInPlace(mIm, n / 2); // times +i
-        return eval_.addC(mRe, mIm);
-    }();
-
-    // 7. SlotToCoeff stages -- the third segment.
-    {
-        prewarmStages(true, w.level());
-        kernels::PlanScope seg(ctx, kernels::PlanOp::SlotToCoeffSeg,
-                               w.level(), planTag_);
-        for (u32 s = 0; s < s2c_.size(); ++s)
-            w = applyEncoded(eval_, w,
-                             encodedStage(true, s, w.level()));
-    }
+    // 7. SlotToCoeff stages.
+    for (u32 s = 0; s < s2c_.size(); ++s)
+        w = applyEncoded(eval_, w, encodedStage(true, s, w.level()));
 
     // The pipeline's constants assumed input scale Delta; the output
     // is canonical at its level and re-encrypts the original message.

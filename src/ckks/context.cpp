@@ -104,7 +104,6 @@ Context::Context(const Parameters &params)
       nttSchedule_(params.nttSchedule),
       modMul_(params.modMul),
       graphEnabled_(std::getenv("FIDES_NO_GRAPH") == nullptr),
-      segmentPlans_(std::getenv("FIDES_NO_SEGMENT_PLANS") == nullptr),
       plans_(std::make_unique<kernels::PlanCache>())
 {
     params_.validate();

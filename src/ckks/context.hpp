@@ -280,18 +280,6 @@ class Context
      *  then runs the uncached dispatch path. */
     bool graphEnabled() const { return graphEnabled_; }
     void setGraphEnabled(bool e) { graphEnabled_ = e; }
-    /**
-     * Gates the composite segment plans (graph.hpp isSegmentOp kinds:
-     * whole bootstrap ladders captured as single graphs). False when
-     * FIDES_NO_SEGMENT_PLANS is set or setSegmentPlansEnabled(false)
-     * was called: segment scopes are then inert and every inner op
-     * falls back to its per-op plan, bit-identically. Toggling does
-     * NOT invalidate the cache -- segment and per-op plans key
-     * disjoint PlanOp ranges and coexist, which is what lets one
-     * binary A/B the two regimes (bench_bootstrap).
-     */
-    bool segmentPlansEnabled() const { return segmentPlans_; }
-    void setSegmentPlansEnabled(bool e) { segmentPlans_ = e; }
     /** The per-context store of captured execution plans (thread-safe
      *  with single-flight capture; see PlanCache). */
     kernels::PlanCache &plans() const { return *plans_; }
@@ -427,7 +415,6 @@ class Context
     bool nttTuned_ = false;
 
     bool graphEnabled_;
-    bool segmentPlans_;
     std::unique_ptr<kernels::PlanCache> plans_;
     mutable std::atomic<u32> planArenaMultiplier_{1};
     std::unique_ptr<StreamLease> defaultLease_;

@@ -213,12 +213,6 @@ PlanCache::stats() const
         out.keys.push_back({key, hits, misses});
         out.hits += hits;
         out.misses += misses;
-        if (isSegmentOp(key.op)) {
-            ++out.segmentKeys;
-            out.segmentHits += e.hits.load(std::memory_order_relaxed);
-            out.segmentMisses +=
-                e.misses.load(std::memory_order_relaxed);
-        }
     }
     return out;
 }
@@ -763,11 +757,6 @@ PlanScope::PlanScope(const Context &ctx, PlanOp op, u32 level,
 {
     if (!ctx.graphEnabled() || ctx.captureSession() ||
         ctx.replaySession())
-        return;
-    // Segment scopes have their own escape hatch: disabled, they stay
-    // inert and the per-op scopes of the inner ops engage instead --
-    // the bit-identical fallback the A/B benches toggle.
-    if (isSegmentOp(op) && !ctx.segmentPlansEnabled())
         return;
     ctx_ = &ctx;
     key_ = PlanKey{op, level + 1, ctx.numDigits(level), aux};

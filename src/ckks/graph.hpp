@@ -69,48 +69,7 @@ enum class PlanOp : u32
     Rescale,     //!< Evaluator::rescaleInPlace (both components)
     KSDecompose, //!< decomposeAndModUp (digit split + ModUp)
     KSApply,     //!< applyRotation (inner product + ModDown + gather)
-
-    // Composite segment plans: a whole straight-line ladder captured
-    // as ONE graph. A segment scope swallows every inner op (their
-    // nested PlanScopes stay inert), so a bootstrap replays a handful
-    // of giant plans instead of hundreds of per-op ones. Segment keys
-    // carry the pipeline's config hash in `aux` -- two Bootstrappers
-    // with different slot counts or level budgets at the same level
-    // must not share a plan.
-    CoeffToSlotSeg, //!< Bootstrapper: the CoeffToSlot stage ladder
-    EvalModSeg,     //!< Bootstrapper: conj split + ApproxMod + recombine
-    SlotToCoeffSeg, //!< Bootstrapper: the SlotToCoeff stage ladder
-    LinTransSeg,    //!< applyEncoded: one BSGS diag-matrix product
-    ChebSeg,        //!< evalChebyshevSeries: the whole PS evaluation
 };
-
-/** True for the composite-segment plan kinds (gated by
- *  Context::segmentPlansEnabled / FIDES_NO_SEGMENT_PLANS). */
-inline bool
-isSegmentOp(PlanOp op)
-{
-    return op >= PlanOp::CoeffToSlotSeg;
-}
-
-/**
- * FNV-1a accumulator for segment aux tags: segment plans are keyed on
- * everything their call SEQUENCE depends on beyond (op, level) --
- * slot counts, level budgets, BSGS structure, Chebyshev coefficient
- * zero patterns -- folded into PlanKey::aux. Values that only change
- * kernel BODIES (plaintext contents, scalar constants) must stay out:
- * bodies are rebuilt live on every replay.
- */
-constexpr u32 kPlanAuxSeed = 2166136261u;
-inline u32
-planAuxMix(u32 h, u64 v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= static_cast<u32>(v & 0xffu);
-        h *= 16777619u;
-        v >>= 8;
-    }
-    return h;
-}
 
 /**
  * Plan identity: everything the schedule shape depends on besides the
@@ -156,14 +115,6 @@ struct PlanCacheStats
     u64 hits = 0;          //!< summed over keys
     u64 misses = 0;        //!< summed over keys
     u64 reservedBytes = 0; //!< pinned arena footprint, all pools
-
-    // Segmentation: the same totals split composite-segment vs per-op
-    // (isSegmentOp on each key), so benches can report how much of the
-    // replay traffic the segment layer absorbs without re-deriving it
-    // from the key list.
-    std::size_t segmentKeys = 0; //!< stored keys with a segment op
-    u64 segmentHits = 0;
-    u64 segmentMisses = 0;
 };
 
 /**
@@ -313,12 +264,11 @@ class GraphCapture
     const Context *ctx_;
     std::unique_ptr<KernelGraph> graph_;
     std::vector<Slot> slots_;
-    //! Partition identity -> slot index. Composite segments bind
-    //! hundreds of operands; the linear scan this replaces made
-    //! every beginCall O(slots).
+    //! Partition identity -> slot index, so binding an operand in
+    //! beginCall is a lookup rather than an O(slots) scan.
     std::unordered_map<const LimbPartition *, u32> slotIndex_;
     //! Event identity -> producer node, for extraWaits resolution
-    //! (same O(nodes)-scan concern at segment scale).
+    //! (a lookup rather than an O(nodes) scan).
     std::unordered_map<const void *, u32> eventNodes_;
     bool valid_ = true;
 };
@@ -393,14 +343,11 @@ class GraphReplay
  * plan-arena multiplier so N concurrent replays are all served from
  * pool hits -- in the device pools.
  *
- * Composite segment scopes (isSegmentOp kinds) additionally require
- * Context::segmentPlansEnabled(): with segments disabled
- * (FIDES_NO_SEGMENT_PLANS) a segment scope is inert and the inner
- * per-op scopes engage exactly as before -- the bit-identical
- * fallback path. With segments enabled the outermost segment scope
- * captures every inner op into one graph; the inner per-op scopes
- * see an active session and stay inert, so one bootstrap replays a
- * handful of composite plans instead of hundreds of per-op ones.
+ * Scopes nest inertly: an HMult's scope captures its relinearization
+ * key switch, KSDecompose included, into the HMult plan, because the
+ * inner scope sees the active session and does nothing. Composite programs
+ * (bootstrap, linear transforms, Chebyshev series) open no scope of
+ * their own; they replay the per-op plans of the ops they call.
  */
 class PlanScope
 {

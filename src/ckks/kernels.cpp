@@ -1065,6 +1065,7 @@ FusedChain::run(const std::vector<Event> &extraWaits)
             const Op &op = ops_[k];
             auto [r, w] = unfusedTraffic(op);
             std::vector<Dep> deps;
+            deps.reserve(3);
             if (op.outPoly)
                 deps.push_back(wr(*op.outPoly));
             if (op.aPoly)

@@ -4,7 +4,6 @@
 #include <numbers>
 #include <set>
 
-#include "ckks/graph.hpp"
 #include "core/logging.hpp"
 
 namespace fideslib::ckks
@@ -272,18 +271,6 @@ encodeDiagMatrix(const Evaluator &eval, const DiagMatrix &m, u32 slots,
                               encoder.encode(z, slots, level, scale));
     }
 
-    // Structural tag: hash the exact BSGS call shape applyEncoded
-    // will walk (baby count, then every group offset and its baby
-    // offsets in iteration order). Plaintext values stay out of it.
-    u32 h = kernels::kPlanAuxSeed;
-    h = kernels::planAuxMix(h,
-                            static_cast<u64>(enc.plan.babyCount));
-    for (const auto &[g, jmap] : enc.groups) {
-        h = kernels::planAuxMix(h, static_cast<u64>(g));
-        for (const auto &[j, pt] : jmap)
-            h = kernels::planAuxMix(h, static_cast<u64>(j));
-    }
-    enc.planTag = h;
     return enc;
 }
 
@@ -295,13 +282,6 @@ applyEncoded(const Evaluator &eval, const Ciphertext &ct,
     // diagonals are encoded at the canonical scale of this level so
     // canonical inputs stay canonical after the final rescale.
     FIDES_ASSERT(ct.level() == enc.level);
-
-    // One segment plan per BSGS application. Inert when this call is
-    // already inside an enclosing segment (a bootstrap ladder) or a
-    // per-op capture/replay -- the PlanScope ctor checks the session.
-    kernels::PlanScope seg(eval.context(),
-                           kernels::PlanOp::LinTransSeg, ct.level(),
-                           enc.planTag);
 
     // Baby rotations shared across every group (HoistedRotate).
     std::vector<i64> babyList;

@@ -106,13 +106,6 @@ struct EncodedDiagMatrix
     //! groups[g][j] = plaintext of rot_{-g}(diag_{g+j})
     std::map<i64, std::map<i64, Plaintext>> groups;
     u32 level;
-    //! Structural hash of the BSGS shape (baby count plus every
-    //! (g, j) offset) -- the segment-plan aux key for applyEncoded.
-    //! Deliberately independent of the plaintext VALUES: replays
-    //! rebind operand slots by position, so two matrices with the
-    //! same rotation structure share one captured graph (this is what
-    //! keeps per-call applyDiagMatrix from churning the plan cache).
-    u32 planTag = 0;
 };
 
 /** Encodes @p m for application at @p level (canonical scale). */

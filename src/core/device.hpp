@@ -162,9 +162,9 @@ class Event
     }
 
     /** Stable identity token (the shared completion state): hashable
-     *  key for capture-side event -> producer-node maps, where the
-     *  O(nodes) sameAs scan would make composite-segment capture
-     *  quadratic. Null events share the null identity. */
+     *  key for capture-side event -> producer-node maps, where an
+     *  O(nodes) sameAs scan would make capture quadratic in plan
+     *  size. Null events share the null identity. */
     const void *identity() const { return st_.get(); }
 
     /** The validator clock snapshot taken at record() (null when

@@ -114,10 +114,9 @@ class Server
         std::size_t queueCapacity = 0;
         /** Enables Bootstrap ops: a shared (thread-safe) engine built
          *  over the same Context/keys. The caller keeps it alive for
-         *  the server's lifetime. Composite segment plans make this
-         *  practical -- the first bootstrap captures the ladders,
-         *  every later one (any submitter) replays them on its own
-         *  lease. */
+         *  the server's lifetime. The first bootstrap captures the
+         *  per-op plans of its ops; every later one (any submitter)
+         *  replays them on its own lease. */
         const ckks::Bootstrapper *bootstrapper = nullptr;
     };
 

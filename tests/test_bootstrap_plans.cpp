@@ -1,15 +1,16 @@
 /**
  * @file
- * Composite segment plan tests (DESIGN.md §1.10): a whole bootstrap
- * ladder captured as one replayable graph must be a pure dispatch
- * optimization. Segment-mode replay, per-op-mode replay and the
- * graphs-off golden run must agree bit-for-bit on ciphertext limbs;
- * invalidation must drop the composite plans and release their
- * arenas; and a Bootstrap op must flow through the serve::Server
- * from concurrent submitters with sequential-identical results (the
+ * Bootstrap plan tests (DESIGN.md §1.10): a bootstrap replays the
+ * same per-op plans (HMult, HSquare, Rescale, KSDecompose, KSApply)
+ * every other program uses, and that replay must be a pure dispatch
+ * optimization. The capture pass, the replay pass and the graphs-off
+ * golden run must agree bit-for-bit on ciphertext limbs; invalidation
+ * must drop the plans and release their arenas; and a Bootstrap op
+ * must flow through the serve::Server from concurrent submitters with
+ * sequential-identical results, replaying without new captures (the
  * ServeBootstrapTest suite runs under TSan in CI via the Serve*
- * filter; SegmentPlanTest deliberately does not -- it re-runs the
- * same numeric pipeline three times and would dominate the TSan
+ * filter; BootstrapPlanTest deliberately does not -- it re-runs the
+ * same numeric pipeline several times and would dominate the TSan
  * budget without adding concurrency coverage).
  */
 
@@ -59,8 +60,8 @@ expectBitIdentical(const Ciphertext &want, const Ciphertext &got,
 /** Bootstrap-capable fixture on a non-trivial topology (2 devices x
  *  2 streams, limbBatch 2), shared across the suite: testBoot key
  *  generation is the expensive part and every test here wants the
- *  same ladders. */
-class SegmentPlanTest : public ::testing::Test
+ *  same pipeline. */
+class BootstrapPlanTest : public ::testing::Test
 {
   protected:
     static constexpr u32 kSlots = 64;
@@ -100,7 +101,6 @@ class SegmentPlanTest : public ::testing::Test
         // Leave the shared fixture in its default config for the
         // next test, with a cold cache.
         ctx->setGraphEnabled(true);
-        ctx->setSegmentPlansEnabled(true);
         ctx->invalidatePlans();
     }
 
@@ -123,13 +123,13 @@ class SegmentPlanTest : public ::testing::Test
     static Bootstrapper *boot;
 };
 
-Context *SegmentPlanTest::ctx = nullptr;
-KeyGen *SegmentPlanTest::keygen = nullptr;
-KeyBundle *SegmentPlanTest::keys = nullptr;
-Evaluator *SegmentPlanTest::eval = nullptr;
-Bootstrapper *SegmentPlanTest::boot = nullptr;
+Context *BootstrapPlanTest::ctx = nullptr;
+KeyGen *BootstrapPlanTest::keygen = nullptr;
+KeyBundle *BootstrapPlanTest::keys = nullptr;
+Evaluator *BootstrapPlanTest::eval = nullptr;
+Bootstrapper *BootstrapPlanTest::boot = nullptr;
 
-TEST_F(SegmentPlanTest, SegmentReplayMatchesPerOpAndUncached)
+TEST_F(BootstrapPlanTest, PerOpReplayMatchesUncached)
 {
     Ciphertext ct = encryptAtBottom(0.37);
 
@@ -139,41 +139,23 @@ TEST_F(SegmentPlanTest, SegmentReplayMatchesPerOpAndUncached)
     golden.syncHost();
     ctx->setGraphEnabled(true);
 
-    // Segment mode: first pass captures the three ladder graphs,
-    // second pass replays them.
-    Ciphertext segCap = boot->bootstrap(ct);
-    expectBitIdentical(golden, segCap, "segment capture pass");
-    kernels::PlanCacheStats st = ctx->planStats();
-    EXPECT_EQ(st.segmentKeys, 3u)
-        << "C2S, EvalMod and S2C should each be one composite key";
-    EXPECT_EQ(st.segmentHits, 0u);
+    // First pass captures the per-op plans, second pass replays them.
+    Ciphertext captured = boot->bootstrap(ct);
+    expectBitIdentical(golden, captured, "capture pass");
+    const u64 capturesAfterFirst = ctx->devices().planCaptures();
+    const u64 hitsAfterFirst = ctx->planStats().hits;
 
-    Ciphertext segRep = boot->bootstrap(ct);
-    expectBitIdentical(golden, segRep, "segment replay pass");
-    st = ctx->planStats();
-    EXPECT_EQ(st.segmentHits, 3u)
-        << "the second bootstrap must replay all three segments";
-
-    // Per-op mode on the same binary: segments gated off, the inner
-    // ops capture and replay individually.
-    ctx->setSegmentPlansEnabled(false);
-    Ciphertext perOpCap = boot->bootstrap(ct);
-    expectBitIdentical(golden, perOpCap, "per-op capture pass");
-    Ciphertext perOpRep = boot->bootstrap(ct);
-    expectBitIdentical(golden, perOpRep, "per-op replay pass");
-
-    // Both key populations coexist (disjoint PlanOp ranges), and the
-    // composite layer needs far fewer entries.
-    st = ctx->planStats();
-    EXPECT_EQ(st.segmentKeys, 3u);
-    EXPECT_GT(st.keys.size(), st.segmentKeys + 3 * 3)
-        << "per-op mode should store many more keys than segments";
+    Ciphertext replayed = boot->bootstrap(ct);
+    expectBitIdentical(golden, replayed, "replay pass");
+    EXPECT_EQ(ctx->devices().planCaptures(), capturesAfterFirst)
+        << "the second bootstrap must replay every per-op plan";
+    EXPECT_GT(ctx->planStats().hits, hitsAfterFirst);
 }
 
-TEST_F(SegmentPlanTest, SegmentsReplayAcrossDistinctCiphertexts)
+TEST_F(BootstrapPlanTest, ReplayAcrossDistinctCiphertexts)
 {
     // Replays rebind operand slots by position: a different input
-    // ciphertext must ride the same composite plans and still match
+    // ciphertext must ride the same per-op plans and still match
     // its own golden run.
     Ciphertext warm = encryptAtBottom(0.11);
     boot->bootstrap(warm).syncHost(); // capture pass
@@ -191,16 +173,17 @@ TEST_F(SegmentPlanTest, SegmentsReplayAcrossDistinctCiphertexts)
         << "the second input must not trigger new captures";
 }
 
-TEST_F(SegmentPlanTest, InvalidationDropsCompositePlansAndArenas)
+TEST_F(BootstrapPlanTest, InvalidationDropsPlansAndArenas)
 {
     Ciphertext ct = encryptAtBottom(0.52);
     Ciphertext before = boot->bootstrap(ct);
     before.syncHost();
-    ASSERT_EQ(ctx->planStats().segmentKeys, 3u);
+    const std::size_t keysBefore = ctx->plans().size();
+    ASSERT_GT(keysBefore, 0u);
     ASSERT_GT(ctx->planStats().reservedBytes, 0u);
 
     // A config change that alters kernel decomposition must drop the
-    // composite plans and give the pinned arenas back.
+    // plans and give the pinned arenas back.
     const NttSchedule original = ctx->nttSchedule();
     const NttSchedule other = original == NttSchedule::Flat
                                   ? NttSchedule::Radix4
@@ -218,7 +201,8 @@ TEST_F(SegmentPlanTest, InvalidationDropsCompositePlansAndArenas)
     Ciphertext recaptured = boot->bootstrap(ct);
     expectBitIdentical(golden, recaptured,
                        "recapture after invalidation");
-    EXPECT_EQ(ctx->planStats().segmentKeys, 3u);
+    EXPECT_EQ(ctx->plans().size(), keysBefore)
+        << "plan keys do not depend on the NTT schedule";
 
     ctx->setNttSchedule(original);
 }
@@ -320,12 +304,13 @@ TEST_F(ServeBootstrapTest, ConcurrentBootstrapMatchesSequential)
         reqs.push_back(refreshProgram(s));
 
     // Sequential reference on the client thread (this also captures
-    // the composite plans, so the server's submitters replay).
+    // the per-op plans, so the server's submitters replay).
     std::vector<Ciphertext> want;
     for (const Request &r : reqs) {
         want.push_back(executeProgram(*eval, boot, r.clone()));
         want.back().syncHost();
     }
+    const u64 capturesAfterWarm = ctx->devices().planCaptures();
 
     Server::Options opt;
     opt.submitters = 2;
@@ -343,8 +328,8 @@ TEST_F(ServeBootstrapTest, ConcurrentBootstrapMatchesSequential)
     EXPECT_EQ(st.accepted, kRequests);
     EXPECT_EQ(st.completed, kRequests);
     EXPECT_EQ(st.failed, 0u);
-    EXPECT_GE(ctx->planStats().segmentHits, 3u * kRequests)
-        << "served bootstraps must replay the composite segments";
+    EXPECT_EQ(ctx->devices().planCaptures(), capturesAfterWarm)
+        << "served bootstraps must replay, not capture";
 }
 
 TEST(ServeBootstrapDeathTest, BootstrapOpWithoutEngineAborts)
